@@ -14,6 +14,7 @@ import numpy as np
 from .. import flops as _flops
 from ..device.kernel import BlockWork, Kernel, LaunchConfig
 from ..hostblas import geqr2, getf2, jacobi_sweep, larft, trsm as host_trsm
+from ..kernels import grouping
 from ..kernels.gemm import VbatchedGemmKernel
 from ..types import Precision, precision_info
 
@@ -327,11 +328,15 @@ class LarfbUpdateGemmKernel(VbatchedGemmKernel):
 
 
 class JacobiSweepKernel(_PanelKernelBase):
-    """One cyclic one-sided Jacobi sweep per matrix (one block each).
+    """One round-robin one-sided Jacobi sweep per matrix (one block each).
 
     The timing plane charges the full sweep for every live matrix — the
     sweep budget is fixed at plan time (static DAG), so timing depends
-    only on sizes and the plan stays cacheable.  The functional plane
+    only on sizes and the plan stays cacheable.  Its ``3(n-1)`` serial
+    iterations are the ``n - 1`` rounds of disjoint column pairs of the
+    round-robin ordering, which the functional plane runs too: one
+    :func:`~repro.hostblas.jacobi_sweep` call per same-order bucket of
+    live matrices (per matrix under ``REPRO_REFERENCE_KERNELS``).  It
     skips matrices whose columns already converged (value-dependent
     early exit that never moves the simulated clock).
     """
@@ -366,20 +371,26 @@ class JacobiSweepKernel(_PanelKernelBase):
 
     def run_numerics(self) -> None:
         st = self.state
-        for i in self.indices:
-            i = int(i)
-            n = int(self.batch.sizes_host[i])
-            if n == 0 or st.converged[i]:
-                continue
-            a = self.batch.matrix_view(i)
-            if n == 1:
-                st.converged[i] = True
-                continue
-            rotations = jacobi_sweep(a, st.v_store[i], st.tol)
-            if rotations == 0:
-                st.converged[i] = True
-            else:
-                st.sweeps_done[i] = self.sweep + 1
+        sizes = self.batch.sizes_host
+        live = self.indices[~st.converged[self.indices]]
+        # A 0x0 or 1x1 problem has no column pair: converged as it stands.
+        st.converged[live[sizes[live] <= 1]] = True
+        live = live[sizes[live] > 1]
+        if grouping.reference_enabled():
+            groups = [live[j : j + 1] for j in range(live.size)]
+        else:
+            groups = [live[b.positions] for b in grouping.partition_buckets(sizes[live])]
+        for ids in groups:
+            views = [self.batch.matrix_view(i) for i in ids.tolist()]
+            accs = [st.v_store[i] for i in ids.tolist()]
+            a, v = np.stack(views), np.stack(accs)
+            rotations = jacobi_sweep(a, v, st.tol)
+            for j, (view, acc) in enumerate(zip(views, accs)):
+                view[...] = a[j]
+                acc[...] = v[j]
+            st.converged[ids[rotations == 0]] = True
+            st.sweeps_done[ids[rotations > 0]] = self.sweep + 1
+            del a, v  # release this bucket's stacks before the next is built
 
 
 class SvdConvergenceKernel(Kernel):

@@ -14,7 +14,7 @@ from .trtri import trtri
 from .potrf import potf2, potrf
 from .getrf import apply_pivots, getf2, getrf
 from .geqrf import apply_q_transpose, build_q, geqr2, geqrf, larft
-from .svd import gesvj, jacobi_sweep
+from .svd import gesvj, jacobi_sweep, round_robin_schedule
 from .validate import (
     make_spd,
     make_spd_batch,
@@ -39,6 +39,7 @@ __all__ = [
     "build_q",
     "gesvj",
     "jacobi_sweep",
+    "round_robin_schedule",
     "make_spd",
     "make_spd_batch",
     "cholesky_residual",

@@ -5,45 +5,94 @@ Hestenes' method: right plane rotations orthogonalize the columns of
 accumulate into ``V``.  Singular values are the final column norms,
 ``U`` the normalized columns.  Real precisions only — the vbatched
 driver mirrors that restriction.
+
+A sweep visits the column pairs in the parallel round-robin ordering
+(Brent & Luk; the batched GPU Jacobi of Boukaram et al.): ``n - 1``
+rounds (``n`` for odd ``n``) of ``n // 2`` disjoint pairs.  The pairs of
+one round commute, so :func:`jacobi_sweep` rotates them all at once,
+across a whole stack of same-order matrices — the ordering the
+vbatched kernel's cost model charges, run one size bucket per call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-__all__ = ["jacobi_sweep", "gesvj"]
+__all__ = ["round_robin_schedule", "jacobi_sweep", "gesvj"]
 
 
-def jacobi_sweep(a: np.ndarray, v: np.ndarray, tol: float) -> int:
-    """One cyclic sweep of one-sided Jacobi rotations, in place.
+@lru_cache(maxsize=None)
+def round_robin_schedule(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The round-robin pairing of ``n`` columns, one ``(p, q)`` per round.
 
-    Walks every column pair ``(p, q)``, ``p < q``, in row-cyclic order;
-    a pair whose normalized off-diagonal inner product exceeds ``tol``
-    gets a plane rotation applied to columns of both ``a`` and ``v``.
-    Returns the number of rotations applied (0 means converged).
+    Circle method: column 0 stays put while the others rotate one seat
+    per round; an odd ``n`` adds a bye seat whose partner sits the round
+    out.  Each round's ``p`` and ``q`` are int64 arrays with ``p < q``
+    elementwise and no column repeated; over the whole schedule every
+    pair ``p < q`` appears exactly once.
     """
-    n = a.shape[1]
-    rotations = 0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = float(a[:, p] @ a[:, q])
-            app = float(a[:, p] @ a[:, p])
-            aqq = float(a[:, q] @ a[:, q])
-            if abs(apq) <= tol * np.sqrt(app * aqq) or app == 0.0 or aqq == 0.0:
-                continue
-            zeta = (aqq - app) / (2.0 * apq)
-            t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            if zeta == 0.0:
-                t = 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            rot_p = c * a[:, p] - s * a[:, q]
-            rot_q = s * a[:, p] + c * a[:, q]
-            a[:, p], a[:, q] = rot_p, rot_q
-            rot_vp = c * v[:, p] - s * v[:, q]
-            rot_vq = s * v[:, p] + c * v[:, q]
-            v[:, p], v[:, q] = rot_vp, rot_vq
-            rotations += 1
+    if n < 2:
+        return ()
+    seats = n + (n % 2)
+    ring = list(range(seats))
+    rounds = []
+    for _ in range(seats - 1):
+        pairs = sorted(
+            (min(x, y), max(x, y))
+            for x, y in zip(ring[: seats // 2], reversed(ring[seats // 2 :]))
+            if max(x, y) < n
+        )
+        p, q = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        p.flags.writeable = q.flags.writeable = False
+        rounds.append((p, q))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return tuple(rounds)
+
+
+def jacobi_sweep(a: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """One round-robin sweep of one-sided Jacobi rotations, in place.
+
+    ``a`` is a ``(k, m, n)`` stack of same-shape matrices and ``v`` the
+    ``(k, n, n)`` stack of their rotation accumulators.  Every round of
+    :func:`round_robin_schedule` computes the three inner products of
+    its pairs for the whole stack at once; a pair whose normalized
+    off-diagonal product exceeds ``tol`` gets a plane rotation applied
+    to the columns of both ``a`` and ``v``, a skipped pair the identity
+    (``c = 1, s = 0``).  Returns the rotations applied per matrix (0
+    means converged).  A matrix's result does not depend on the others
+    in its stack.
+    """
+    k, m, n = a.shape
+    # Row layout: row j holds column j of A followed by column j of V,
+    # so one gather per round moves both operands of every rotation.
+    w = np.empty((k, n, m + n), dtype=a.dtype)
+    w[:, :, :m] = np.swapaxes(a, 1, 2)
+    w[:, :, m:] = np.swapaxes(v, 1, 2)
+    rotations = np.zeros(k, dtype=np.int64)
+    for p, q in round_robin_schedule(n):
+        wp = w[:, p]
+        wq = w[:, q]
+        ap, aq = wp[..., :m], wq[..., :m]
+        apq = np.einsum("khi,khi->kh", ap, aq).astype(np.float64, copy=False)
+        app = np.einsum("khi,khi->kh", ap, ap).astype(np.float64, copy=False)
+        aqq = np.einsum("khi,khi->kh", aq, aq).astype(np.float64, copy=False)
+        rotate = (np.abs(apq) > tol * np.sqrt(app * aqq)) & (app != 0.0) & (aqq != 0.0)
+        if not rotate.any():
+            continue
+        rotations += np.count_nonzero(rotate, axis=1)
+        zeta = (aqq - app) / np.where(rotate, 2.0 * apq, 1.0)
+        # The smaller root of t^2 + 2 zeta t = 1; a skipped pair gets
+        # t = 0, i.e. the identity rotation.
+        t = np.copysign(rotate / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta)
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = (c * t).astype(a.dtype)[..., None]
+        c = c.astype(a.dtype)[..., None]
+        w[:, p] = c * wp - s * wq
+        w[:, q] = s * wp + c * wq
+    a[...] = np.swapaxes(w[:, :, :m], 1, 2)
+    v[...] = np.swapaxes(w[:, :, m:], 1, 2)
     return rotations
 
 
@@ -59,6 +108,8 @@ def gesvj(
     (0 for an already-orthogonal column set).  ``a`` is not modified.
     """
     a = np.array(a, copy=True)
+    if a.dtype.kind in "biu":
+        a = a.astype(np.float64)
     if a.ndim != 2:
         raise ValueError(f"gesvj needs a 2-D matrix, got shape {a.shape}")
     if np.iscomplexobj(a):
@@ -69,7 +120,7 @@ def gesvj(
     v = np.eye(n, dtype=a.dtype)
     sweeps = 0
     for _ in range(max_sweeps):
-        if jacobi_sweep(a, v, tol) == 0:
+        if jacobi_sweep(a[None], v[None], tol)[0] == 0:
             break
         sweeps += 1
     s = np.sqrt(np.sum(np.abs(a) ** 2, axis=0))

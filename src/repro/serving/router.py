@@ -795,20 +795,24 @@ class FleetRouter:
                 return now
             return max(min(candidates), now)
 
-    def drain(self, timeout_events: int = 100000) -> bool:
+    def drain(self, timeout_events: int = 100000, timeout: float | None = 30.0) -> bool:
         """Pump until idle on the router's own clock (sync mode).
 
         Virtual-clock callers (the bench) drive their own loop; this is
         the convenience for tests and threaded callers.  Returns True
-        once idle.
+        once idle, False when ``timeout`` wall seconds (``None``: no
+        limit) or ``timeout_events`` sync pumps run out first.
         """
         if self._threaded:
             with self._cond:
-                return self._cond.wait_for(self.idle, timeout=30.0)
+                return self._cond.wait_for(self.idle, timeout=timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
         now = self.clock()
         for _ in range(timeout_events):
             if self.idle():
                 return True
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
             progressed = self.pump(now)
             nxt = self.next_event_time(now)
             if nxt is None:
@@ -932,7 +936,14 @@ class FleetRouter:
             )
             return
         ticket.last_error = err
-        if self.retry.retryable(err) and ticket.attempts <= self.retry.max_retries:
+        if self._stopping and self.retry.retryable(err):
+            # No router thread is left to run the retry.
+            self._terminal(
+                ticket, "cancelled",
+                error=RequestCancelled("router shut down before request was served"),
+                completed_at=now,
+            )
+        elif self.retry.retryable(err) and ticket.attempts <= self.retry.max_retries:
             self.metrics.record_retry(type(err).__name__)
             ticket.not_before = now + self.retry.delay(ticket.attempts)
             ticket.replica = None
@@ -958,30 +969,44 @@ class FleetRouter:
     # ------------------------------------------------------------------
     def shutdown(self, drain: bool = True, timeout: float | None = None) -> None:
         """Close admission, then drain or cancel the backlog; stops the
-        router thread and every replica server.  Idempotent."""
+        router thread and every replica server.  Idempotent.
+
+        ``timeout`` bounds the whole call: the drain, the router thread's
+        exit and the replica shutdowns share it.  Tickets still queued
+        or awaiting a retry under ``drain=False``, or when the drain runs
+        out of time, resolve with :class:`~repro.errors.RequestCancelled`.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def remaining() -> float | None:
+            return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+
         with self._lock:
             self._accepting = False
-        if drain:
-            self.drain()
-        else:
-            with self._lock:
-                queued = [t for q in self._queues.values() for t in q.tickets()]
-                for group in self._retry_groups:
-                    queued.extend(t for t in group.tickets if t.outcome is None)
-                self._retry_groups.clear()
-            for ticket in queued:
-                self._terminal(
-                    ticket, "cancelled",
-                    error=RequestCancelled("router shut down before request was served"),
-                )
+        drained = drain and self.drain(timeout=timeout)
         with self._cond:
+            # Stopping first: no retry is scheduled after the backlog sweep.
             self._stopping = True
+            queued = [] if drained else self._take_backlog()
             self._cond.notify_all()
             thread = self._thread
+        for ticket in queued:
+            self._terminal(
+                ticket, "cancelled",
+                error=RequestCancelled("router shut down before request was served"),
+            )
         if thread is not None:
-            thread.join(timeout)
+            thread.join(remaining())
         for replica in self.replicas:
-            replica.server.shutdown(drain=drain, timeout=timeout)
+            replica.server.shutdown(drain=drain, timeout=remaining())
+
+    def _take_backlog(self) -> list[Ticket]:
+        """Every ticket not yet forwarded (caller holds ``_lock``)."""
+        queued = [t for q in self._queues.values() for t in q.tickets()]
+        for group in self._retry_groups:
+            queued.extend(t for t in group.tickets if t.outcome is None)
+        self._retry_groups.clear()
+        return queued
 
     def __enter__(self) -> "FleetRouter":
         return self

@@ -412,47 +412,46 @@ class BatchServer:
     def drain(self, timeout: float | None = None) -> bool:
         """Serve everything queued; returns True once idle.
 
-        With a running worker this waits (the worker force-flushes
-        nothing — windows still apply — but every window eventually
-        expires); without one it pumps inline.  New submissions remain
-        admitted during and after a drain.
+        With a running worker this waits: windows still apply, and every
+        window eventually expires (a stopping server's worker
+        force-flushes them instead).  Without a worker it pumps inline.
+        New submissions remain admitted during and after a drain.
         """
         if self._worker is None:
             while self.pump(force=True):
                 pass
-            with self._cond:
-                return self._cond.wait_for(lambda: self._idle(), timeout)
         with self._cond:
             return self._cond.wait_for(lambda: self._idle(), timeout)
 
     def shutdown(self, drain: bool = True, timeout: float | None = None) -> None:
         """Stop the server: close admission, then drain or cancel.
 
-        ``drain=True`` serves every queued request before stopping;
-        ``drain=False`` cancels pending futures with
-        :class:`~repro.errors.ServingError`.  Idempotent.
+        ``drain=True`` serves every queued request before stopping; a
+        running worker force-flushes its open windows, so this returns
+        as soon as the queue is served.  ``drain=False`` — and a drain
+        that outlives ``timeout`` — resolves every still-queued future
+        with :class:`~repro.errors.ServingError`.  With a running worker
+        this returns within ``timeout``; without one the queue is served
+        inline.  Idempotent.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             self._accepting = False
-            cancelled = []
-            if not drain:
-                while len(self._batcher):
-                    cancelled.extend(self._batcher.next_batch(self.clock(), force=True))
-                self._cond.notify_all()
+            cancelled = [] if drain else self._take_queued()
+            self._stopping = True
+            self._cond.notify_all()
+            worker = self._worker
+        if drain and not self.drain(timeout):
+            with self._cond:
+                cancelled = self._take_queued()
         if cancelled:
             for req in cancelled:
                 req.future.set_exception(
                     ServingError("server shut down before request was served")
                 )
             self.metrics.record_cancelled(len(cancelled))
-        if drain:
-            self.drain(timeout)
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()
-            worker = self._worker
         if worker is not None:
-            worker.join(timeout)
+            worker.join(None if deadline is None else max(deadline - time.monotonic(), 0.0))
         self.metrics.wall_stopped = self.clock()
 
     def __enter__(self) -> "BatchServer":
@@ -460,6 +459,10 @@ class BatchServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(drain=exc_type is None)
+
+    def _take_queued(self) -> list[Request]:
+        """Empty the queue (caller holds ``_cond``)."""
+        return [req for batch in self._batcher.drain_all() for req in batch]
 
     def _idle(self) -> bool:
         return len(self._batcher) == 0 and self._in_flight == 0

@@ -7,6 +7,9 @@ cancellation/timeouts propagate through every stage.  All sync-mode
 tests run on a virtual clock, so ordering assertions are deterministic.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -318,6 +321,30 @@ class TestShutdown:
         assert all(t.outcome == "cancelled" for t in tickets)
         with pytest.raises(AdmissionError):
             router.submit(np.zeros((16, 16)))
+
+    def test_shutdown_timeout_bounds_the_call_and_resolves_every_ticket(self):
+        router = FleetRouter(replica_count=1, max_batch=2, max_wait=60.0)
+        server = router.replicas[0].server
+        release = threading.Event()
+        dispatch = server._dispatch
+
+        def stalled_dispatch(*args, **kwargs):
+            release.wait(5.0)
+            return dispatch(*args, **kwargs)
+
+        server._dispatch = stalled_dispatch
+        router.start()
+        tickets = [router.submit(m) for m in make_spd_batch([8] * 8, seed=5)]
+        started = time.monotonic()
+        router.shutdown(drain=True, timeout=0.3)
+        assert time.monotonic() - started < 0.3 + 0.5
+        release.set()
+        for ticket in tickets:
+            ticket.future.exception(timeout=5.0)  # resolves, one way or another
+        outcomes = [t.outcome for t in tickets]
+        assert set(outcomes) <= {"completed", "failed", "cancelled"}
+        assert outcomes.count("cancelled") >= 1
+        assert router.pending == 0
 
     def test_context_manager_drains_on_clean_exit(self):
         with _router(replica_count=1) as router:

@@ -10,6 +10,7 @@ the last ulp.)
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,43 @@ class TestAsyncWorker:
         futures = server.submit_many(make_spd_batch([8, 9], seed=1))
         server.shutdown(drain=True, timeout=5.0)
         assert all(f.result(timeout=1.0).ok for f in futures)
+
+    def test_drain_shutdown_returns_once_the_queue_is_served(self):
+        server = BatchServer(Device(), max_batch=64, max_wait=60.0)
+        server.start()
+        futures = server.submit_many(make_spd_batch([8, 9, 8], seed=2))
+        started = time.monotonic()
+        server.shutdown(drain=True, timeout=None)
+        assert time.monotonic() - started < 1.0
+        assert all(f.result(timeout=0).ok for f in futures)
+        assert not server._worker.is_alive()
+
+    def test_drain_timeout_fails_the_rest_of_the_queue_once(self):
+        server = BatchServer(Device(), max_batch=1, max_wait=60.0)
+        release = threading.Event()
+        dispatch = server._dispatch
+
+        def stalled_dispatch(*args, **kwargs):
+            release.wait(5.0)
+            return dispatch(*args, **kwargs)
+
+        server._dispatch = stalled_dispatch
+        server.start()
+        futures = server.submit_many(make_spd_batch([8, 9, 10], seed=3))
+        resolved = [0] * len(futures)
+        for i, fut in enumerate(futures):
+            fut.add_done_callback(lambda _f, i=i: resolved.__setitem__(i, resolved[i] + 1))
+        started = time.monotonic()
+        server.shutdown(drain=True, timeout=0.2)
+        assert time.monotonic() - started < 1.0
+        release.set()
+        assert futures[0].result(timeout=5.0).ok  # the batch already in flight
+        for fut in futures[1:]:
+            with pytest.raises(ServingError, match="shut down"):
+                fut.result(timeout=0)
+        server._worker.join(5.0)
+        assert resolved == [1, 1, 1]
+        assert server.metrics.cancelled == 2
 
     def test_context_manager_drains_on_clean_exit(self):
         with BatchServer(Device(), max_wait=60.0) as server:
