@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import PlanError
+from ..errors import ArgumentError, LaunchError, PlanError
 from ..kernels import grouping
 from ..kernels.aux import IMaxReduceKernel, StepSizesKernel
 from ..kernels.fused_potrf import FusedPotrfStepKernel
@@ -84,6 +84,10 @@ STAR = "*"
 #: Wildcard token: conflicts with everything (unknown kernel types).
 STAR_ALL = "**"
 
+#: Cost-model rejections the optimizer survives with a block-count
+#: duration proxy (counted as ``cost_fallbacks``); anything else raises.
+_COST_MODEL_ERRORS = (LaunchError, ArgumentError)
+
 #: Counter names the passes publish (issue-mandated registry names).
 OPTIMIZER_COUNTERS = (
     ("plan_opt_barriers_elided", "barriers_elided",
@@ -92,6 +96,8 @@ OPTIMIZER_COUNTERS = (
      "Kernel launches coalesced into an earlier launch"),
     ("plan_opt_launches_pruned", "launches_pruned",
      "Dead kernel launches dropped by the plan optimizer"),
+    ("plan_opt_cost_fallbacks", "cost_fallbacks",
+     "Launches the cost model rejected, timed by a block-count proxy"),
 )
 
 
@@ -435,18 +441,21 @@ def _pass_coalesce(works: list[_Work], device, report: dict) -> list[_Work]:
 # ----------------------------------------------------------------------
 # pass 4: LPT stream rebalancing
 # ----------------------------------------------------------------------
-def estimate_launch_duration(device, kernel) -> float:
+def estimate_launch_duration(device, kernel, report: dict) -> float:
     """Calibrated single-launch duration (seconds) from the cost model.
 
-    Pure: reads the device spec/calibration without touching its clock.
-    Falls back to a block-count proxy if the kernel rejects its own
-    configuration.
+    Reads the device spec/calibration without touching its clock.
+    Falls back to a block-count proxy if the cost model rejects the
+    kernel's configuration (:class:`LaunchError`/:class:`ArgumentError`),
+    counting the fallback in ``report["cost_fallbacks"]``; any other
+    error propagates.
     """
     try:
         _, schedule, _ = _prepared(device, kernel)
-        return float(schedule.makespan) + float(device.spec.kernel_launch_overhead)
-    except Exception:
+    except _COST_MODEL_ERRORS:
+        report["cost_fallbacks"] += 1
         return float(max(1, kernel.total_blocks())) * 1e-6
+    return float(schedule.makespan) + float(device.spec.kernel_launch_overhead)
 
 
 def _prepared(device, kernel):
@@ -473,9 +482,10 @@ def _cache_schedules(works: list[_Work], device, report: dict) -> None:
             continue
         try:
             _prepared(device, w.kernel)
-            cached += 1
-        except Exception:
+        except _COST_MODEL_ERRORS:
+            report["cost_fallbacks"] += 1
             continue
+        cached += 1
     report["schedules_cached"] = cached
 
 
@@ -511,7 +521,7 @@ def _pass_lpt(works: list[_Work], device, max_streams: int, report: dict) -> lis
 
     parallel_groups = []
     for group in groups:
-        durations = [estimate_launch_duration(device, works[p].kernel) for p in group]
+        durations = [estimate_launch_duration(device, works[p].kernel, report) for p in group]
         total, longest = sum(durations), max(durations)
         # Densest width that still hides the work: never narrower than
         # the planner's own stream spread (so simulated overlap cannot
@@ -717,6 +727,7 @@ def optimize_plan(
         "launches_pruned": 0,
         "tasks_pruned": 0,
         "groups_rebalanced": 0,
+        "cost_fallbacks": 0,
         "parallel_groups": [],
     }
     works = _build_works(plan)

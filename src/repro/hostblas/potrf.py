@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..errors import ArgumentError
+from .triangle import tril_pairs
 from .trsm import trsm
 
 __all__ = ["potf2", "potrf"]
@@ -85,7 +86,7 @@ def potrf(a: np.ndarray, uplo: str = "l", nb: int = 32) -> int:
             # strictly-upper triangle stays untouched (LAPACK contract).
             b = a[j0:j1, :j0]
             upd_tile = b @ b.conj().T
-            rows, cols = np.tril_indices(j1 - j0)
+            rows, cols = tril_pairs(j1 - j0)
             a[j0:j1, j0:j1][rows, cols] -= upd_tile[rows, cols]
             if j1 < n:
                 a[j1:, j0:j1] -= a[j1:, :j0] @ b.conj().T

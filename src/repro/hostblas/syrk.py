@@ -6,6 +6,7 @@ import numpy as np
 
 from ..errors import ArgumentError
 from .gemm import apply_op
+from .triangle import tril_pairs, triu_pairs
 
 __all__ = ["syrk"]
 
@@ -44,7 +45,7 @@ def syrk(
     # dense matmul is far faster than per-column triangular updates in
     # NumPy, and the mask preserves the untouched-triangle contract.
     full = alpha * (opa @ opa.conj().T)
-    rows, cols = np.tril_indices(n) if u == "l" else np.triu_indices(n)
+    rows, cols = tril_pairs(n) if u == "l" else triu_pairs(n)
     if beta == 0:
         c[rows, cols] = full[rows, cols]
     else:

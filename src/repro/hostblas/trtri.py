@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArgumentError
+from .triangle import tril_pairs, triu_pairs
 from .trsm import trsm
 
 __all__ = ["trtri"]
@@ -90,10 +91,7 @@ def _invert_diag_block(a: np.ndarray, lower: bool, unit: bool) -> None:
     n = a.shape[0]
     eye = np.eye(n, dtype=a.dtype)
     trsm("l", "l" if lower else "u", "n", "u" if unit else "n", 1.0, a, eye, nb=max(n, 1))
-    if lower:
-        rows, cols = np.tril_indices(n)
-    else:
-        rows, cols = np.triu_indices(n)
+    rows, cols = tril_pairs(n) if lower else triu_pairs(n)
     # The inverse of a triangular matrix is triangular with the same
     # shape; copy back only that triangle (unit diagonals stay implicit).
     a[rows, cols] = eye[rows, cols]

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import LaunchError
 from ..hostblas import potf2 as host_potf2, trsm as host_trsm
+from ..hostblas.triangle import tril_pairs
 from ..types import Precision, precision_info
 from ..device.kernel import BlockWork, Kernel, LaunchConfig
 from . import grouping
@@ -48,7 +49,7 @@ def fused_step_numerics(a: np.ndarray, j0: int, nb: int) -> int:
     if j0 > 0:
         b = a[j0:j1, :j0]
         upd = b @ b.conj().T
-        rows, cols = np.tril_indices(j1 - j0)
+        rows, cols = tril_pairs(j1 - j0)
         a[j0:j1, j0:j1][rows, cols] -= upd[rows, cols]
         if j1 < n:
             a[j1:, j0:j1] -= a[j1:, :j0] @ b.conj().T
@@ -197,18 +198,8 @@ class FusedPotrfStepKernel(Kernel):
                 if info != 0:
                     infos[i] = info
             return
-        ldas = self.batch.ldas_host
-        buckets = grouping.partition_buckets(
-            [(int(sizes[i]), int(ldas[i])) for i in live]
-        )
-        for bucket in buckets:
-            ids = live[bucket.positions]
-            if len(ids) == 1:
-                i = int(ids[0])
-                info = fused_step_numerics(self.batch.matrix_view(i), j0, self.nb)
-                if info != 0:
-                    infos[i] = info
-                continue
+        for bin_ in grouping.row_bins(sizes[live] - j0):
+            ids = live[bin_]
             views = [self.batch.matrix_view(int(i)) for i in ids]
             ret = grouping.bucket_fused_step(views, j0, self.nb)
             bad = ret > 0

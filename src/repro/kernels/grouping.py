@@ -10,13 +10,16 @@ the batched-GEMM grouping strategy of Jhurani & Mullowney
 (arXiv:1304.7053) and the bucketing of Boukaram et al.
 (arXiv:1707.05141):
 
-* partition a launch's work items into buckets of identical ``(n, lda)``
-  (items in one bucket are shape-compatible),
-* materialize each bucket as a 3-D ndarray stack,
+* partition a launch's work items into buckets that one stacked array
+  can hold — identical ``(n, lda)`` for the BLAS kernels; for the fused
+  Cholesky step, :data:`ROW_BIN`-wide bins of *remaining rows*, padded
+  to the bin's tallest matrix the way the paper's fused kernel pads its
+  block dimension to ``max_m`` and idles the extra threads,
+* materialize each bucket as a 3-D ndarray stack (zero padding, with a
+  unit diagonal on padded tile rows so padding factors as the identity),
 * run the whole bucket through *batched* NumPy primitives
-  (``matmul``/``einsum`` over the leading batch axis, vectorized
-  substitution sweeps),
-* scatter the results back into the per-matrix device views.
+  (``matmul`` over the leading batch axis, vectorized column sweeps),
+* scatter only each matrix's real entries back into its device view.
 
 Every kernel keeps its original per-matrix loop as a *reference* path
 (:func:`reference_numerics` / ``set_reference_numerics``) so the
@@ -31,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..hostblas.triangle import tril_pairs, triu_pairs
+
 __all__ = [
     "SizeBucket",
     "partition_buckets",
@@ -39,13 +44,18 @@ __all__ = [
     "set_reference_numerics",
     "reference_enabled",
     "batched_potf2",
-    "batched_panel_trsm",
     "batched_lower_trtri",
+    "ROW_BIN",
+    "row_bins",
     "bucket_fused_step",
     "bucket_gemm",
     "bucket_syrk",
 ]
 
+
+#: Row-bin width of the fused Cholesky step: matrices whose remaining
+#: row counts fall in one ``ROW_BIN``-row band share one padded stack.
+ROW_BIN = 64
 
 # ----------------------------------------------------------------------
 # reference-mode switch
@@ -138,60 +148,47 @@ def grouped_first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # batched numeric primitives
 # ----------------------------------------------------------------------
 def _conj_t(stack: np.ndarray) -> np.ndarray:
-    """Batched conjugate transpose of a 3-D stack."""
-    return np.conj(np.swapaxes(stack, -1, -2))
+    """Batched conjugate transpose of a 3-D stack (a view for real dtypes)."""
+    flipped = np.swapaxes(stack, -1, -2)
+    return np.conj(flipped) if np.iscomplexobj(flipped) else flipped
 
 
 def batched_potf2(t: np.ndarray) -> np.ndarray:
-    """In-place batched unblocked lower Cholesky of a ``(B, n, n)`` stack.
+    """In-place batched unblocked lower Cholesky of a ``(B, m, n)`` stack.
 
-    Mirrors :func:`repro.hostblas.potf2` semantics per matrix: returns
-    an int64 info array (0 on success, 1-based failing pivot otherwise);
-    a failed matrix's columns from the failing one onward are left
-    untouched, and already-failed matrices stop receiving writes.
+    The top ``n x n`` tile of each slice is factored with
+    :func:`repro.hostblas.potf2` semantics; rows below it (``m > n``, a
+    tall panel) are solved against the new factor in the same column
+    sweep, i.e. ``X @ L^H = B`` as ``trsm('r', 'l', 'c', 'n', 1.0, L, B)``
+    computes it.  Returns an int64 info array (0 on success, 1-based
+    failing pivot otherwise); a failed matrix's columns from the failing
+    one onward are left untouched, and already-failed matrices stop
+    receiving writes.
     """
-    bsz, n = t.shape[0], t.shape[1]
+    bsz, n = t.shape[0], t.shape[2]
     infos = np.zeros(bsz, dtype=np.int64)
     active = np.ones(bsz, dtype=bool)
     for j in range(n):
-        row = t[:, j, :j]
-        if j > 0:
-            d = t[:, j, j].real - np.einsum("bk,bk->b", row, row.conj()).real
-        else:
-            d = t[:, j, j].real.copy()
-        bad = active & ((d <= 0) | np.isnan(d))
+        row_h = _conj_t(t[:, j : j + 1, :j])
+        d = t[:, j, j].real - (t[:, j : j + 1, :j] @ row_h)[:, 0, 0].real
+        bad = active & ~(d > 0)  # also catches NaN
         if bad.any():
             infos[bad] = j + 1
-            active = active & ~bad
+            active &= ~bad
             if not active.any():
                 break
         dj = np.sqrt(np.where(active, d, 1.0))
-        t[active, j, j] = dj[active]
-        if j + 1 < n:
-            below = t[:, j + 1 :, :j]
-            col = t[:, j + 1 :, j] - np.einsum("bmk,bk->bm", below, row.conj())
-            t[active, j + 1 :, j] = (col / dj[:, None])[active]
-    return infos
-
-
-def batched_panel_trsm(l11: np.ndarray, b: np.ndarray, ok: np.ndarray | None = None) -> None:
-    """Batched in-place solve ``X @ L^H = B`` (right/lower/conj-trans).
-
-    ``l11`` is a ``(B, jb, jb)`` stack of lower-triangular factors and
-    ``b`` the ``(B, m, jb)`` right-hand-side panels, overwritten with the
-    solution — the batched analogue of
-    ``trsm('r', 'l', 'c', 'n', 1.0, L, B)``.  Entries where ``ok`` is
-    False (failed factorizations) are left untouched.
-    """
-    bsz, jb = l11.shape[0], l11.shape[1]
-    if ok is None:
-        ok = np.ones(bsz, dtype=bool)
-    for j in range(jb):
-        denom = np.where(ok, l11[:, j, j], 1.0).conj()
-        rhs = b[:, :, j]
+        col = t[:, j + 1 :, j]
         if j > 0:
-            rhs = rhs - np.einsum("bmi,bi->bm", b[:, :, :j], l11[:, j, :j].conj())
-        b[ok, :, j] = (rhs / denom[:, None])[ok]
+            col = col - (t[:, j + 1 :, :j] @ row_h)[:, :, 0]
+        col = col / dj[:, None]
+        if active.all():
+            t[:, j, j] = dj
+            t[:, j + 1 :, j] = col
+        else:
+            t[active, j, j] = dj[active]
+            t[active, j + 1 :, j] = col[active]
+    return infos
 
 
 def batched_lower_trtri(l: np.ndarray) -> np.ndarray:
@@ -218,35 +215,63 @@ def batched_lower_trtri(l: np.ndarray) -> np.ndarray:
     return np.tril(inv)
 
 
-def bucket_fused_step(views: list[np.ndarray], j0: int, nb: int) -> np.ndarray:
-    """Vectorized fused Algorithm-1 step over one same-size bucket.
+def row_bins(rows: np.ndarray) -> list[np.ndarray]:
+    """Positions of ``rows`` grouped into :data:`ROW_BIN`-wide row bins.
 
-    ``views`` are equal-order ``n x n`` matrix views; performs the
-    panel-update + tile-factorize + panel-solve of
-    :func:`repro.kernels.fused_potrf.fused_step_numerics` on the whole
-    bucket at once and scatters the panel columns back.  Returns the
-    per-matrix info array (0, or the 1-based global failing pivot).
+    ``rows`` holds each work item's remaining row count (all positive);
+    bin ``k`` collects the items with ``k*ROW_BIN < rows <= (k+1)*ROW_BIN``.
+    Bins come out in ascending order, each in issue order.
     """
-    n = views[0].shape[0]
-    j1 = min(j0 + nb, n)
-    jb = j1 - j0
-    k = j0
-    # One gather covers everything the step touches: rows j0:, cols :j1.
-    s = np.stack([v[j0:, :j1] for v in views])
-    tile = s[:, :jb, k:j1]
-    if k > 0:
-        hist = s[:, :jb, :k]
-        upd = hist @ _conj_t(hist)
-        rows, cols = np.tril_indices(jb)
-        tile[:, rows, cols] -= upd[:, rows, cols]
-        if j1 < n:
-            s[:, jb:, k:j1] -= s[:, jb:, :k] @ _conj_t(hist)
-    infos = batched_potf2(tile)
-    ok = infos == 0
-    if j1 < n and ok.any():
-        batched_panel_trsm(tile, s[:, jb:, k:j1], ok=ok)
-    for b, v in enumerate(views):
-        v[j0:, j0:j1] = s[b, :, k:j1]
+    keys = (np.asarray(rows, dtype=np.int64) - 1) // ROW_BIN
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    return np.split(order, cuts)
+
+
+def bucket_fused_step(views: list[np.ndarray], j0: int, nb: int) -> np.ndarray:
+    """Vectorized fused Algorithm-1 step over one row bin.
+
+    ``views`` are ``n x n`` matrix views of any orders ``n > j0``.  Their
+    panels (rows ``j0:``, columns ``j0:j0 + nb``) are gathered into one
+    zero-padded ``(B, M, jb)`` stack, where ``M`` is the largest
+    remaining row count and ``jb = min(nb, M)``; tile rows past a
+    matrix's own panel width get a unit diagonal, so padding factors as
+    the identity and never fails.  Each matrix's panel update is one
+    ``matmul`` straight from its view into a same-shape update stack
+    (NumPy's stacked ``matmul`` would make the same per-slice BLAS call,
+    after copying every history block into the stack).  The stack then
+    takes the steps of
+    :func:`repro.kernels.fused_potrf.fused_step_numerics` once: the
+    update is subtracted (lower triangle only on the tile), and one
+    :func:`batched_potf2` sweep over the tall panel factors the tile and
+    solves the rows below it.  A matrix whose tile fails keeps its rows
+    below as updated, as if the solve were skipped.  Only each matrix's
+    real panel entries are scattered back.  Returns the per-matrix info
+    array (0, or the 1-based global failing pivot).
+    """
+    rows = np.fromiter((v.shape[0] for v in views), dtype=np.int64, count=len(views)) - j0
+    big_m = int(rows.max())
+    jb = min(nb, big_m)
+    jbs = np.minimum(rows, nb)
+    s = np.zeros((len(views), big_m, jb), dtype=views[0].dtype)
+    upd = np.zeros_like(s)
+    for b, (v, m, w) in enumerate(zip(views, rows.tolist(), jbs.tolist())):
+        s[b, :m, :w] = v[j0:, j0 : j0 + w]
+        if j0 > 0:
+            np.matmul(v[j0:, :j0], _conj_t(v[j0 : j0 + w, :j0]), out=upd[b, :m, :w])
+    pad_b, pad_r = np.nonzero(np.arange(jb) >= jbs[:, None])
+    s[pad_b, pad_r, pad_r] = 1
+    tr, tc = tril_pairs(jb)
+    s[:, tr, tc] -= upd[:, tr, tc]
+    s[:, jb:] -= upd[:, jb:]
+    infos = batched_potf2(s)
+    for b in np.flatnonzero((infos > 0) & (rows > jb)):
+        # A failed tile skips the panel solve: its rows below keep the
+        # updated values, recomputed here exactly as above.
+        m = int(rows[b])
+        s[b, jb:m] = views[b][j0 + jb :, j0 : j0 + jb] - upd[b, jb:m]
+    for b, (v, m, w) in enumerate(zip(views, rows.tolist(), jbs.tolist())):
+        v[j0:, j0 : j0 + w] = s[b, :m, :w]
     return np.where(infos > 0, infos + j0, 0)
 
 
@@ -307,7 +332,7 @@ def bucket_syrk(
     opa = _apply_op_stack(a, "n" if trans.lower() == "n" else trans)
     n = c.shape[-1]
     full = alpha * (opa @ _conj_t(opa))
-    rows, cols = np.tril_indices(n) if uplo.lower() == "l" else np.triu_indices(n)
+    rows, cols = tril_pairs(n) if uplo.lower() == "l" else triu_pairs(n)
     if beta == 0:
         c[:, rows, cols] = full[:, rows, cols]
     else:

@@ -120,20 +120,9 @@ class PanelPotf2StepKernel(Kernel):
                 if info != 0:
                     infos[i] = self.offset + info
             return
-        ldas = self.batch.ldas_host
-        buckets = grouping.partition_buckets(
-            [(int(self.jbs[i]), int(ldas[i])) for i in live]
-        )
-        for bucket in buckets:
-            ids = live[bucket.positions]
-            jb = int(self.jbs[ids[0]])
-            if len(ids) == 1:
-                i = int(ids[0])
-                info = fused_step_numerics(self._tile(i, jb), local, self.nb)
-                if info != 0:
-                    infos[i] = self.offset + info
-                continue
-            tiles = [self._tile(int(i), jb) for i in ids]
+        for bin_ in grouping.row_bins(self.jbs[live] - local):
+            ids = live[bin_]
+            tiles = [self._tile(int(i), int(self.jbs[i])) for i in ids]
             ret = grouping.bucket_fused_step(tiles, local, self.nb)
             bad = ret > 0
             if bad.any():

@@ -18,6 +18,7 @@ from repro.core.fused import FusedDriver
 from repro.core.optimizer import (
     PASS_NAMES,
     ancestor_masks,
+    estimate_launch_duration,
     node_access,
     optimize_plan,
     resolve_passes,
@@ -26,7 +27,7 @@ from repro.core.partial import plan_partial_potrf
 from repro.core.plan import Barrier, PlanCache
 from repro.core.separated import SeparatedDriver
 from repro.device import Device, PlanExecutor
-from repro.errors import ArgumentError, PlanError
+from repro.errors import ArgumentError, LaunchError, PlanError
 from repro.observability import MetricsRegistry
 
 LEVELS = ("none", "elide", "prune", "coalesce", "lpt", "elide+prune", "all")
@@ -190,6 +191,67 @@ class TestPassEffects:
             opt = dev2.synchronize() - t0
             plan2.close()
             assert opt <= base * (1 + 1e-9), f"{planner}: {opt} > {base}"
+
+
+def _reject_launch(kernel, error):
+    """Make ``kernel``'s cost-model evaluation raise ``error``."""
+
+    def launch_config():
+        raise error
+
+    kernel.launch_config = launch_config
+
+
+class TestCostModelFallbacks:
+    def _kernels(self, plan):
+        return [n.kernel for n in plan.nodes if getattr(n, "kernel", None) is not None]
+
+    def test_rejected_launch_is_counted(self):
+        dev, plan = _timing_plan("fused")
+        kernels = self._kernels(plan)
+        for k in kernels[:2]:
+            _reject_launch(k, LaunchError("block too large"))
+        optimize_plan(plan, "elide")
+        rep = plan.meta["optimizer"]
+        assert rep["cost_fallbacks"] == 2
+        assert rep["schedules_cached"] == len(kernels) - 2
+        plan.close()
+
+    def test_clean_plan_reports_zero_fallbacks(self):
+        dev, plan = _timing_plan("streamed")
+        registry = MetricsRegistry()
+        optimize_plan(plan, "all", registry=registry)
+        assert plan.meta["optimizer"]["cost_fallbacks"] == 0
+        assert registry.as_dict()["plan_opt_cost_fallbacks"] == 0
+        plan.close()
+
+    def test_fallback_reaches_registry(self):
+        dev, plan = _timing_plan("fused")
+        _reject_launch(self._kernels(plan)[0], ArgumentError(1, "bad launch"))
+        registry = MetricsRegistry()
+        optimize_plan(plan, "all", registry=registry)
+        rep = plan.meta["optimizer"]
+        assert rep["cost_fallbacks"] >= 1
+        assert registry.as_dict()["plan_opt_cost_fallbacks"] == rep["cost_fallbacks"]
+        plan.close()
+
+    def test_estimate_uses_block_proxy_and_counts(self):
+        dev, plan = _timing_plan("fused")
+        kernel = self._kernels(plan)[0]
+        _reject_launch(kernel, LaunchError("block too large"))
+        report = {"cost_fallbacks": 0}
+        duration = estimate_launch_duration(dev, kernel, report)
+        assert duration == max(1, kernel.total_blocks()) * 1e-6
+        assert report["cost_fallbacks"] == 1
+        plan.close()
+
+    @pytest.mark.parametrize("level", ["elide", "all"])
+    def test_other_errors_propagate(self, level):
+        dev, plan = _timing_plan("fused")
+        _reject_launch(self._kernels(plan)[0], TypeError("kernel bug"))
+        with pytest.raises(TypeError, match="kernel bug"):
+            optimize_plan(plan, level)
+        plan.close()
 
 
 def _numerics_result(planner, level, seed=11):

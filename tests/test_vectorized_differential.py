@@ -9,6 +9,8 @@ batches down both paths and require the factors, infos, and padding
 bytes to agree.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from repro import Device, PotrfOptions, VBatch, potrf_vbatched
 from repro.baselines import run_cpu_percore, run_cpu_percore_measured
 from repro.distributions import gaussian_sizes, uniform_sizes
 from repro.hostblas import cholesky_residual, make_spd_batch
-from repro.kernels import grouping
+from repro.kernels import fused_potrf, grouping, potf2 as panel_potf2
+from repro.kernels.fused_potrf import FusedPotrfStepKernel
 
 
 def factorize(sizes, mats, approach, reference, ldas=None, precision="d", **opts):
@@ -38,7 +41,7 @@ def factorize(sizes, mats, approach, reference, ldas=None, precision="d", **opts
 
 
 def tol(precision):
-    return 1e-4 if precision == "s" else 1e-12
+    return 1e-4 if precision in ("s", "c") else 1e-12
 
 
 class TestReferenceSwitch:
@@ -128,6 +131,134 @@ class TestDifferentialFactorization:
             monkeypatch.delenv("REPRO_REFERENCE_KERNELS")
             importlib.reload(grouping)
         assert not grouping.reference_enabled()
+
+
+class TestRowBinnedFusedStep:
+    """One fused launch per step over orders that share padded row bins."""
+
+    NB = 16
+    # 1, below nb, non-multiples of nb, a multiple, and orders whose
+    # remaining rows fall in three different ROW_BIN-wide bins.
+    SIZES = [1, 7, 23, 45, 64, 100, 150, 7, 45, 100]
+    # (matrix, 0-based pivot made negative): mid-tile in a matrix
+    # shorter than its bin's panel, at a tile boundary, mid-tile, and at
+    # the boundary of a last, partial panel.
+    INDEFINITE = [(1, 3), (3, 32), (5, 20), (6, 144)]
+    NAN = (8, 30, 5)  # matrix 8 gets NaN at (30, 5); fails at pivot 31
+
+    def _batch(self, precision):
+        mats = make_spd_batch(self.SIZES, precision, seed=21)
+        for i, col in self.INDEFINITE:
+            mats[i][col, col] = -1.0
+        i, r, c = self.NAN
+        mats[i][r, c] = mats[i][c, r] = np.nan
+        return mats
+
+    def _factorize(self, mats, reference, ldas=None, precision="d"):
+        return factorize(self.SIZES, [m.copy() for m in mats], "fused", reference,
+                         ldas=ldas, precision=precision, nb=self.NB)
+
+    @pytest.mark.parametrize("precision", ["s", "d", "c", "z"])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_mixed_bins_match_reference(self, precision, padded):
+        assert max(self.SIZES) > 2 * grouping.ROW_BIN  # three bins at step 0
+        mats = self._batch(precision)
+        ldas = [n + 3 for n in self.SIZES] if padded else None
+        ref, ref_infos = self._factorize(mats, True, ldas, precision)
+        vec, vec_infos = self._factorize(mats, False, ldas, precision)
+        assert np.array_equal(ref_infos, vec_infos)
+        expected = np.zeros(len(self.SIZES), dtype=np.int64)
+        for i, col in self.INDEFINITE:
+            expected[i] = col + 1
+        expected[self.NAN[0]] = self.NAN[1] + 1
+        assert np.array_equal(vec_infos, expected)
+        for n, r, v in zip(self.SIZES, ref, vec):
+            np.testing.assert_allclose(v, r, rtol=tol(precision), atol=tol(precision))
+            if padded:
+                assert np.all(v[n:, :] == -777.0)
+
+    @pytest.mark.parametrize("precision", ["d", "z"])
+    def test_alone_matches_inside_mixed_stack(self, precision):
+        mats = self._batch(precision)
+        mixed, infos = self._factorize(mats, False, precision=precision)
+        for i in (0, 2, 4, 7, 9):  # the SPD matrices, from two row bins
+            assert infos[i] == 0
+            device = Device()
+            batch = VBatch.from_host(device, [mats[i].copy()])
+            with grouping.reference_numerics(False):
+                potrf_vbatched(device, batch, PotrfOptions(approach="fused", nb=self.NB))
+            alone = batch.matrices[0].data
+            err = np.linalg.norm(alone - mixed[i]) / np.linalg.norm(alone)
+            assert err <= 1e-13
+
+    def test_bucket_step_matches_single_matrix_step(self):
+        mats = self._batch("d")[2:7]  # orders 23, 45, 64, 100, 150
+        j0 = self.NB
+        stacked = [m.copy() for m in mats]
+        singles = [m.copy() for m in mats]
+        for a in stacked + singles:  # factor the first panel exactly
+            fused_potrf.fused_step_numerics(a, 0, self.NB)
+        infos = grouping.bucket_fused_step(stacked, j0, self.NB)
+        for a, single, info in zip(stacked, singles, infos):
+            assert info == fused_potrf.fused_step_numerics(single, j0, self.NB)
+            np.testing.assert_allclose(a, single, rtol=1e-12, atol=1e-12)
+
+    def test_row_bins_group_by_remaining_rows(self):
+        w = grouping.ROW_BIN
+        rows = np.array([w + 1, 1, w, 2 * w + 5, w + 7, 3])
+        bins = grouping.row_bins(rows)
+        assert [b.tolist() for b in bins] == [[1, 2, 5], [0, 4], [3]]
+
+
+def _stratified_sizes(count, max_size, rng):
+    """One order per stratum of ``1..max_size`` (``count`` strata)."""
+    edges = np.linspace(0, max_size, count + 1)
+    return np.clip(np.ceil(rng.uniform(edges[:-1], edges[1:])), 1, max_size).astype(int)
+
+
+class TestFusedWorkCounts:
+    def test_one_potf2_per_row_bin_per_launch(self, monkeypatch):
+        sizes = _stratified_sizes(300, 256, np.random.default_rng(5))
+        mats = make_spd_batch(sizes.tolist(), "d", seed=4)
+        potf2_calls = []
+        real_potf2 = grouping.batched_potf2
+
+        def counting_potf2(t):
+            potf2_calls.append(t.shape[0])
+            return real_potf2(t)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-matrix fused step outside reference mode")
+
+        launches = []
+        real_run = FusedPotrfStepKernel.run_numerics
+
+        def counting_run(self):
+            j0 = self.step * self.nb
+            sizes_i = self.batch.sizes_host[self.indices]
+            live = (sizes_i > j0) & (self.batch.infos_dev.data[self.indices] == 0)
+            remaining = sizes_i[live] - j0
+            bins = len(np.unique((remaining - 1) // grouping.ROW_BIN))
+            limit = math.ceil(self.max_m / grouping.ROW_BIN)
+            before = len(potf2_calls)
+            real_run(self)
+            launches.append((len(potf2_calls) - before, bins, limit, int(live.sum())))
+
+        monkeypatch.setattr(grouping, "batched_potf2", counting_potf2)
+        monkeypatch.setattr(fused_potrf, "fused_step_numerics", forbidden)
+        monkeypatch.setattr(panel_potf2, "fused_step_numerics", forbidden)
+        monkeypatch.setattr(FusedPotrfStepKernel, "run_numerics", counting_run)
+        device = Device()
+        batch = VBatch.from_host(device, mats)
+        with grouping.reference_numerics(False):
+            potrf_vbatched(device, batch, PotrfOptions(approach="fused"))
+        assert np.all(batch.infos_dev.data == 0)
+        assert launches
+        for calls, bins, limit, live in launches:
+            assert calls == bins <= limit
+        # Every live matrix of every launch went through a stacked call.
+        assert sum(potf2_calls) == sum(live for *_, live in launches)
+        assert len(potf2_calls) == sum(calls for calls, *_ in launches)
 
 
 class TestBucketHelpers:
